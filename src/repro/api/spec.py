@@ -26,7 +26,7 @@ The spec tree::
     │   ├── noise: NoiseTrainSpec    # noise-injection / HW-loop training
     │   ├── calibration: CalibrationSpec
     │   └── seed
-    └── runtime: RuntimeSpec         # executor / workers / caches
+    └── runtime: RuntimeSpec         # kernel / caches / batching
 
 The design-parameter nodes subclass the validated config dataclasses they
 describe (:class:`XbarSpec` extends
@@ -82,9 +82,6 @@ from repro.nonideal.transforms import (
 )
 from repro.utils.digest import content_key
 from repro.xbar.config import CrossbarConfig
-
-#: Runtime backends accepted by :class:`RuntimeSpec` (``None`` = inline).
-EXECUTOR_KINDS = (None, "serial", "threads", "process")
 
 
 def supports_batch_invariance(engine: str, sim) -> bool:
@@ -208,29 +205,23 @@ class RuntimeSpec:
     """Execution policy: how a resolved engine runs, not what it computes.
 
     Attributes:
-        executor: Runtime backend (``None`` = inline on the calling
-            thread, or ``"serial"``/``"threads"``/``"process"``).
-        workers: Backend parallelism; ``workers > 1`` with no explicit
-            executor selects the process backend (as ``make_engine``).
         tile_cache_size: Per-engine tile-result LRU entries (0 disables).
         chunk_rows: Conv-layer im2col chunking for converted models.
         batch_invariant: Route tile matmuls through the batch-invariant
             einsum kernel (bitwise row-independent results; required by
             the microbatching service). Only this field participates in
             ``spec.key()`` — every other runtime knob is value-neutral
-            by the runtime's determinism contract.
-        backend: Array backend of the compiled fused kernel (``None``
-            resolves through ``$REPRO_BACKEND`` to ``"numpy"``;
-            ``"interp"`` forces the interpreted reference kernel). All
-            values are bit-identical, so — like every knob but
+            by the kernels' determinism contract.
+        backend: Kernel selector (``None`` resolves through
+            ``$REPRO_BACKEND`` to ``"numpy"``, the compiled fused kernel;
+            ``"interp"`` forces the interpreted reference kernel). Both
+            are bit-identical, so — like every knob but
             ``batch_invariant`` — the choice never enters ``spec.key()``
             or cache digests.
         fleet: Fleet routing policy (:class:`FleetSpec`); a digest-
             neutral hint consumed only by the fleet front-end.
     """
 
-    executor: str | None = None
-    workers: int = 1
     tile_cache_size: int = 256
     chunk_rows: int | None = None
     batch_invariant: bool = False
@@ -238,12 +229,6 @@ class RuntimeSpec:
     fleet: FleetSpec = FleetSpec()
 
     def __post_init__(self):
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigError(
-                f"unknown executor {self.executor!r}; expected one of "
-                f"{EXECUTOR_KINDS}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.tile_cache_size < 0:
             raise ConfigError(
                 f"tile_cache_size must be >= 0, got {self.tile_cache_size}")
@@ -394,9 +379,9 @@ class EmulationSpec:
         emulator node too rather than risk ever sharing an engine across
         different crossbar designs), the sim precision and the
         batch-invariance flag. Deliberately excludes every other runtime
-        knob: executor backend, worker count and cache sizes never change
-        results (the runtime's determinism contract), so two specs that
-        differ only there share warm engines.
+        knob: the kernel choice and cache sizes never change results (the
+        kernels' determinism contract), so two specs that differ only
+        there share warm engines.
         """
         return engine_identity(self.model_key(), self.engine, self.sim,
                                self.runtime.batch_invariant)

@@ -255,10 +255,6 @@ def _cmd_fig(args) -> int:
 
     from repro.errors import ConfigError
 
-    if args.workers is not None:
-        # The experiment drivers read the worker count through
-        # repro.experiments.common.default_workers().
-        os.environ["REPRO_WORKERS"] = str(args.workers)
     if args.backend is not None:
         # Engines built anywhere down the run resolve this through
         # resolve_backend(); an explicit spec value still wins.
@@ -384,7 +380,6 @@ def _cmd_serve(args) -> int:
         max_models=args.max_models,
         max_nets=args.max_nets,
         tile_cache_size=args.tile_cache,
-        engine_workers=args.engine_workers,
         backend=args.backend)
     server = EmulationServer(
         registry,
@@ -417,8 +412,7 @@ def _cmd_fleet(args) -> int:
     cache_dir = args.cache_dir or default_cache_dir()
     worker_args = ["--max-batch", str(args.max_batch),
                    "--max-models", str(args.max_models),
-                   "--max-nets", str(args.max_nets),
-                   "--engine-workers", str(args.engine_workers)]
+                   "--max-nets", str(args.max_nets)]
     frontend = FleetFrontend(
         replication=args.replication, vnodes=args.vnodes,
         max_inflight=args.max_inflight,
@@ -563,14 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("fig", help="regenerate a paper figure/table")
     p_fig.add_argument("name", choices=sorted(_FIG_RUNNERS))
     _add_spec_args(p_fig)
-    p_fig.add_argument("--workers", type=int, default=None,
-                       help="funcsim runtime workers for DNN accuracy "
-                            "experiments (default: $REPRO_WORKERS or 1; "
-                            ">1 uses the sharded process backend)")
     p_fig.add_argument("--backend", default=None,
-                       help="fused-kernel array backend (numpy, numba, "
-                            "torch, or interp for the interpreted "
-                            "reference; default: $REPRO_BACKEND or numpy)")
+                       help="kernel: numpy (compiled fused kernel) or "
+                            "interp (interpreted reference); default: "
+                            "$REPRO_BACKEND or numpy")
     p_fig.set_defaults(func=_cmd_fig)
 
     p_mitigate = sub.add_parser(
@@ -608,13 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "(LRU)")
     p_serve.add_argument("--tile-cache", type=int, default=256,
                          help="per-engine tile-result LRU size; 0 disables")
-    p_serve.add_argument("--engine-workers", type=int, default=1,
-                         help="shard prepared-engine matmuls across this "
-                              "many runtime threads (1 = inline)")
     p_serve.add_argument("--backend", default=None,
-                         help="fused-kernel array backend for warm engines "
-                              "(numpy, numba, torch, or interp; default: "
-                              "$REPRO_BACKEND or numpy)")
+                         help="kernel of warm engines: numpy (compiled "
+                              "fused kernel) or interp (interpreted "
+                              "reference); default: $REPRO_BACKEND or "
+                              "numpy")
     p_serve.add_argument("--cache-dir", default=None,
                          help="GENIEx zoo directory (default: "
                               "$REPRO_CACHE_DIR or ~/.cache/repro/geniex)")
@@ -652,8 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="warm emulators per worker (LRU)")
     p_fleet.add_argument("--max-nets", type=int, default=8,
                          help="compiled network programs per worker (LRU)")
-    p_fleet.add_argument("--engine-workers", type=int, default=1,
-                         help="runtime threads per worker engine")
     p_fleet.add_argument("--cache-dir", default=None,
                          help="shared GENIEx zoo directory — the fleet's "
                               "artifact store (default: $REPRO_CACHE_DIR "

@@ -14,12 +14,12 @@ import os
 import numpy as np
 
 from repro.api.session import open_session
-from repro.api.spec import EmulationSpec, RuntimeSpec, SimSpec, XbarSpec
+from repro.api.spec import EmulationSpec, SimSpec, XbarSpec
 from repro.core.emulator import GeniexEmulator
 from repro.datasets import make_shapes_split, make_textures_split
 from repro.errors import ConfigError
-from repro.experiments.common import Profile, default_workers, dnn_cache_dir
-from repro.funcsim import close_mvm_executor, convert_to_mvm, make_engine
+from repro.experiments.common import Profile, dnn_cache_dir
+from repro.funcsim import convert_to_mvm
 from repro.funcsim.config import FuncSimConfig
 from repro.models import ResNet
 from repro.nn import Adam, cross_entropy, load_state_dict, save_state_dict
@@ -115,29 +115,9 @@ def evaluate_float(model, x: np.ndarray, y: np.ndarray,
 
 
 def evaluate_engine(model, x: np.ndarray, y: np.ndarray, engine,
-                    batch: int = 64, workers: int | None = None,
-                    executor=None) -> float:
-    """Top-1 accuracy of the model converted onto an MVM engine.
-
-    ``workers`` (default: ``REPRO_WORKERS`` env, i.e. 1) shards converted
-    inference over the funcsim runtime; ``executor`` picks the backend
-    (spec string or instance; ``workers > 1`` alone selects ``process``).
-    The executor's worker pool is torn down before returning unless a
-    ready-made instance was passed in (the caller owns its lifecycle).
-    """
-    owns_executor = not hasattr(executor, "matmul")
-    if workers is None:
-        workers = default_workers()
-    if workers <= 1 and executor is None:
-        converted = convert_to_mvm(model, engine)
-    else:
-        converted = convert_to_mvm(model, engine, executor=executor,
-                                   workers=workers)
-    try:
-        return _top1_accuracy(converted, x, y, batch)
-    finally:
-        if owns_executor:
-            close_mvm_executor(converted)
+                    batch: int = 64) -> float:
+    """Top-1 accuracy of the model converted onto an MVM engine."""
+    return _top1_accuracy(convert_to_mvm(model, engine), x, y, batch)
 
 
 def evaluate_spec(model, x: np.ndarray, y: np.ndarray,
@@ -147,7 +127,7 @@ def evaluate_spec(model, x: np.ndarray, y: np.ndarray,
 
     The canonical evaluation path: the spec resolves through
     :func:`repro.api.open_session` (zoo get-or-train, engine factory,
-    runtime workers per ``spec.runtime``) and the model is compiled with
+    runtime policy per ``spec.runtime``) and the model is compiled with
     :meth:`Session.compile`. ``emulator`` short-circuits zoo resolution
     with a ready-trained instance, which the sweep drivers use to train
     their emulators once up front.
@@ -158,11 +138,10 @@ def evaluate_spec(model, x: np.ndarray, y: np.ndarray,
 
 def evaluate_mode(model, x, y, mode: str, xbar: CrossbarConfig,
                   sim: FuncSimConfig, batch: int = 64,
-                  emulator: GeniexEmulator | None = None,
-                  workers: int | None = None) -> float:
+                  emulator: GeniexEmulator | None = None) -> float:
     """Accuracy under a named engine mode (``ideal``/``geniex``/...).
 
-    Thin adapter lowering loose (mode, xbar, sim, workers) arguments
+    Thin adapter lowering loose (mode, xbar, sim) arguments
     into an :class:`EmulationSpec` and delegating to
     :func:`evaluate_spec` — bit-identical to the historical hand-wired
     ``make_engine`` + ``convert_to_mvm`` assembly (tested).
@@ -172,9 +151,7 @@ def evaluate_mode(model, x, y, mode: str, xbar: CrossbarConfig,
     spec = EmulationSpec(
         engine=mode,
         xbar=XbarSpec.from_config(xbar),
-        sim=SimSpec.from_config(sim),
-        runtime=RuntimeSpec(workers=default_workers()
-                            if workers is None else max(1, int(workers))))
+        sim=SimSpec.from_config(sim))
     return evaluate_spec(model, x, y, spec, batch=batch, emulator=emulator)
 
 

@@ -123,7 +123,7 @@ class Profile:
         return FuncSimConfig(**overrides)
 
     def to_spec(self, engine: str = "geniex", *, seed: int = 0,
-                workers: int | None = None, **xbar_overrides):
+                **xbar_overrides):
         """The profile's DNN-accuracy setup as one declarative spec.
 
         Returns the :class:`repro.api.spec.EmulationSpec` equivalent of
@@ -132,21 +132,16 @@ class Profile:
         drivers historically performed — resolved through
         :func:`repro.api.open_session`, it produces bit-identical
         results (tested). ``xbar_overrides`` feed
-        :meth:`dnn_crossbar` (e.g. ``rows=16`` for the size sweeps);
-        ``workers`` defaults to :func:`default_workers` (the
-        ``REPRO_WORKERS`` env contract the loose path honoured).
+        :meth:`dnn_crossbar` (e.g. ``rows=16`` for the size sweeps).
         """
-        if workers is None:
-            workers = default_workers()
-        from repro.api.spec import (EmulationSpec, EmulatorSpec,
-                                    RuntimeSpec, SimSpec, XbarSpec)
+        from repro.api.spec import (EmulationSpec, EmulatorSpec, SimSpec,
+                                    XbarSpec)
         return EmulationSpec(
             engine=engine,
             xbar=XbarSpec.from_config(self.dnn_crossbar(**xbar_overrides)),
             sim=SimSpec.from_config(self.funcsim()),
             emulator=EmulatorSpec(sampling=self.sampling_spec(seed),
-                                  training=self.dnn_train_spec(seed)),
-            runtime=RuntimeSpec(workers=max(1, int(workers))))
+                                  training=self.dnn_train_spec(seed)))
 
 
 QUICK = Profile(
@@ -230,22 +225,6 @@ def get_profile(name: str | None = None) -> Profile:
     except KeyError:
         raise ConfigError(
             f"unknown profile {name!r}; choose from {sorted(_PROFILES)}")
-
-
-def default_workers() -> int:
-    """Funcsim runtime worker count (``REPRO_WORKERS`` env, default 1).
-
-    Threaded through every accuracy experiment: ``1`` keeps the historical
-    single-core inline path; ``> 1`` shards converted-model inference over
-    the process backend (see :mod:`repro.funcsim.runtime`). The CLI's
-    ``fig --workers`` sets the variable for one invocation.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_WORKERS", "1")))
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_WORKERS must be an integer, "
-            f"got {os.environ.get('REPRO_WORKERS')!r}")
 
 
 def shared_zoo(verbose: bool = False) -> GeniexZoo:

@@ -172,7 +172,7 @@ def run_robustness(profile: Profile | None = None, *,
     """
     if spec is None:
         profile = profile or get_profile()
-        spec = profile.to_spec(engine="geniex", seed=seed, workers=1)
+        spec = profile.to_spec(engine="geniex", seed=seed)
     for engine in engines:
         if engine == "ideal":
             raise ConfigError(

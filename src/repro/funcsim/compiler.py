@@ -2,11 +2,11 @@
 
 The interpreted kernel (:func:`repro.funcsim.runtime.kernel.
 execute_tile_row`) walks a Python-level (weight-sign x slice x stream x
-tile-column) quadruple loop per shard, issuing one tile-model call and one
-ADC conversion per model. For the closed-form tile kinds — ``geniex``,
+tile-column) quadruple loop per tile-row, issuing one tile-model call and
+one ADC conversion per model. For the closed-form tile kinds — ``geniex``,
 ``exact`` and ``analytical``, whose models of one tile-row all share
 geometry — :func:`compile_program` precomputes everything that loop
-re-derives per call and lowers the shard into three fused stages:
+re-derives per call and lowers the tile-row into three fused stages:
 
 1. **Stacked read-out** — the per-model operands of a tile-row are
    concatenated along columns at compile time (``(rows, M * cols)``; for
@@ -25,7 +25,7 @@ re-derives per call and lowers the shard into three fused stages:
    as dense prefactor arrays (products of signed powers of two: exact in
    float64) and applied to the whole measured tensor at once.
 3. **Ordered accumulation** — the decode terms collapse through the
-   pluggable backend ops, which preserve the interpreted kernel's
+   numpy backend ops, which preserve the interpreted kernel's
    (stream, sign, slice) addition order per output element; a pairwise
    ``np.sum`` reduction would regroup the floating-point adds and drift
    in the last ulp.
@@ -49,12 +49,12 @@ Bit-identity contract: the compiled path produces *bit-identical* outputs
 to the interpreted kernel — same zero-stream skips, same tile-result
 cache keys and hits, same ADC noise draw order (model-major, matching the
 interpreted per-model sequence), same statistics. This holds for every
-engine kind, executor backend, worker count and faulty
-(:class:`~repro.nonideal.NonidealitySpec`) preparation; the equivalence
+engine kind and faulty (:class:`~repro.nonideal.NonidealitySpec`)
+preparation; the equivalence
 suite (``tests/funcsim/test_compiled.py``) asserts it. The interpreted
 kernel therefore remains the reference implementation and the transparent
 fallback for unfusible tile kinds (``decoupled``/``circuit``) and for
-shards whose stacked working set would exceed :data:`the memory guard
+tile-row calls whose stacked working set would exceed :data:`the memory guard
 <DEFAULT_MAX_FUSED_BYTES>`.
 """
 
@@ -74,9 +74,9 @@ from repro.obs import span
 #: models fall back to the interpreted kernel.
 FUSIBLE_KINDS = ("geniex", "exact", "analytical")
 
-#: Stacked-measurement budget per shard, in bytes (the ``(M, S * batch,
+#: Stacked-measurement budget per tile-row call, in bytes (the ``(M, S * batch,
 #: cols)`` measured tensor; the fused working set is a small multiple of
-#: it). Shards above the budget run through the interpreted kernel
+#: it). Calls above the budget run through the interpreted kernel
 #: instead — counted as ``fallback_calls`` — so compiling can never blow
 #: up peak memory. Override with ``$REPRO_MAX_FUSED_BYTES``.
 DEFAULT_MAX_FUSED_BYTES = 1 << 28
@@ -95,20 +95,18 @@ def _cat_columns(stack: np.ndarray) -> np.ndarray:
 
 
 class CompiledLayer:
-    """Fused execution form of one layer program (picklable).
+    """Fused execution form of one layer program.
 
-    Holds the per-tile-row stacked operands and the precomputed decode
-    prefactors; the array backend is resolved lazily by name (and dropped
-    on pickling), so compiled programs ship to process-pool workers like
-    any other program state.
+    Holds the per-tile-row stacked operands, the precomputed decode
+    prefactors and the array backend that executes them.
     """
 
-    def __init__(self, kind: str, backend_name: str, batch_invariant: bool,
+    def __init__(self, kind: str, backend, batch_invariant: bool,
                  model_coords: list, n_sw: int, n_k: int, t_c: int,
                  row_stacks: dict, stream_scales: np.ndarray,
                  sw_slice: np.ndarray, max_fused_bytes: int):
         self.kind = kind
-        self.backend_name = backend_name
+        self.backend = backend
         self.batch_invariant = batch_invariant
         #: ``(sign, slice, tc)`` per stacked model, in the interpreted
         #: kernel's model-major iteration order — the decode reshape and
@@ -124,33 +122,15 @@ class CompiledLayer:
         self.sw_slice = sw_slice
         self.max_fused_bytes = max_fused_bytes
         #: Smallest stacked-voltage row count the fused read-out is
-        #: validated for (set by the compile-time probe; shards below it
+        #: validated for (set by the compile-time probe; calls below it
         #: fall back to the interpreted kernel).
         self.min_fused_rows = 1
         #: Verdicts of the runtime stacked-NN-forward check, keyed by
         #: ``(n_rows, n_models)`` shape class (see :meth:`_friction`).
         self._nn_stack_ok: dict = {}
-        self._backend = None
-        #: Per-thread scratch buffers (:meth:`_workspace`). The layer is
-        #: shared across thread-pool workers, so the pool is
-        #: thread-local; buffers never escape a shard call.
-        self._ws_local = threading.local()
-
-    @property
-    def backend(self):
-        if self._backend is None:
-            from repro.funcsim.runtime.backends import get_backend
-            self._backend = get_backend(self.backend_name)
-        return self._backend
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_backend"] = None  # re-resolved by name in the worker
-        del state["_ws_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        #: Per-thread scratch buffers (:meth:`_workspace`). One engine may
+        #: serve matmuls from several threads at once, so the pool is
+        #: thread-local; buffers never escape a tile-row call.
         self._ws_local = threading.local()
 
     def _workspace(self, name: str, shape: tuple,
@@ -159,7 +139,7 @@ class CompiledLayer:
 
         The fast path's large temporaries (stacked voltages, the flat
         measurement, the NN hidden batch) are multi-megabyte and freed
-        at every shard, which keeps the allocator releasing and
+        at every call, which keeps the allocator releasing and
         re-faulting pages; recycling them costs nothing in values —
         every user fills its buffer completely before reading it.
         """
@@ -296,7 +276,7 @@ class CompiledLayer:
     def _execute_fast(self, program: LayerProgram, tr: int,
                       stream_levels: list, stream_info: list, batch: int,
                       adc, cache, stats) -> np.ndarray:
-        """Fused shard execution in the natural measurement layout.
+        """Fused tile-row execution in the natural measurement layout.
 
         Valid for deterministic ADCs with the cache off or the engine
         batch-invariant (see the dispatch in
@@ -469,7 +449,7 @@ class CompiledLayer:
 #: Stacked-voltage row counts checked by the compile-time probe. The
 #: small counts straddle BLAS's gemv/small-kernel dispatch region, where
 #: column concatenation is most likely to change kernel choice; the
-#: larger ones cover the blocked-gemm regime real shards run in.
+#: larger ones cover the blocked-gemm regime real calls run in.
 _PROBE_FUSED_ROWS = (1, 2, 7, 33, 256)
 
 
@@ -486,7 +466,7 @@ def _probe_stacked_readout(compiled: CompiledLayer,
     all tile-rows share it).
 
     Returns the smallest validated stacked-row count: ``1`` when every
-    count matches, ``2`` when only single-row stacking diverges (shards
+    count matches, ``2`` when only single-row stacking diverges (calls
     that small fall back to the interpreted kernel), or ``None`` when
     multi-row stacking breaks bit-identity — the program then stays
     interpreted entirely.
@@ -553,7 +533,7 @@ def compile_program(program: LayerProgram, backend) -> CompiledLayer | None:
         stream_scales = np.array([float(2 ** (m * cfg.stream_bits))
                                   for m in range(cfg.n_streams)])
         compiled = CompiledLayer(
-            kind=kind, backend_name=backend.name,
+            kind=kind, backend=backend,
             batch_invariant=bool(getattr(program.tile_factory,
                                          "batch_invariant", False)),
             model_coords=coords, n_sw=len(plan.sign_present),
@@ -561,7 +541,6 @@ def compile_program(program: LayerProgram, backend) -> CompiledLayer | None:
             stream_scales=stream_scales,
             sw_slice=np.outer(sw_factors, slice_scales),
             max_fused_bytes=_max_fused_bytes())
-        compiled._backend = backend
         min_rows = _probe_stacked_readout(compiled, program)
         if min_rows is None:
             return None
@@ -576,7 +555,7 @@ def execute_tile_row_fused(program: LayerProgram, qx: np.ndarray,
     execute_tile_row`: bit-identical outputs, counters and cache traffic.
 
     Returns ``None`` (caller falls back to the interpreted kernel) when
-    the shard's stacked working set would exceed the compiled layer's
+    the call's stacked working set would exceed the compiled layer's
     memory guard, or when its stacked voltage batch is below the row
     count the compile-time probe validated.
     """

@@ -5,11 +5,11 @@
 
 * **Compile** — :meth:`CrossbarMvmEngine.prepare` quantises, sign-splits,
   slices and tiles a weight matrix, programs one tile model per
-  (weight-sign, slice, tile) and lowers the result into a static, picklable
+  (weight-sign, slice, tile) and lowers the result into a static
   :class:`~repro.funcsim.planner.LayerProgram` (tile schedule, decode
   constants, ADC transfer, cost metadata).
 * **Execute** — :meth:`CrossbarMvmEngine.matmul` streams quantised
-  activations through the program via the shard kernel
+  activations through the program via the tile-row kernel
   (:mod:`repro.funcsim.runtime.kernel`): per tile-row the sign-split
   activations are streamed ``stream_bits`` at a time as DAC voltages; every
   (weight-sign, slice, tile) crossbar returns analog bit-line currents from
@@ -17,13 +17,10 @@
   the ``g_off`` mapping bias, merges streams/slices with shift-and-add and
   accumulates tile partial sums in the fixed-point accumulator.
 
-Without an executor the engine runs the kernel inline on the calling
-thread — bit-identical to the historical monolithic implementation,
-including the sequential ADC noise stream. With an executor
-(``make_engine(..., executor="process", workers=4)`` or any
-:class:`repro.funcsim.runtime.ExecutorBase`) execution is sharded across
-tile-rows and batch chunks on threads or worker processes; see
-:mod:`repro.funcsim.runtime` for the determinism contract.
+The engine runs the kernel on the calling thread, one tile-row at a
+time — bit-identical to the historical monolithic implementation,
+including the sequential ADC noise stream; see
+:mod:`repro.funcsim.runtime.kernel` for the determinism contract.
 
 **Batched execution.** Every tile model accepts voltage batches of shape
 ``(M, rows)`` and returns currents of shape ``(M, cols)`` — that is the
@@ -78,7 +75,6 @@ from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.compiler import compile_program
 from repro.funcsim.planner import plan_layer
 from repro.funcsim.runtime.backends import resolve_backend
-from repro.funcsim.runtime.base import make_executor
 from repro.funcsim.runtime.kernel import (
     STAT_FIELDS,
     active_signs,
@@ -277,18 +273,6 @@ class AnalyticalTileFactory:
         return AnalyticalTileModel(
             self._solver.transfer_matrix(conductance_s), self._matmul)
 
-    def __getstate__(self):
-        # The sparse-LU cache inside the solver is not picklable (and not
-        # needed after tiles are built); worker processes rebuild it lazily.
-        state = self.__dict__.copy()
-        state["_solver"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self._solver is None:
-            self._solver = LinearCrossbarSolver(self.config)
-
 
 class AnalyticalTileModel:
     def __init__(self, transfer: np.ndarray, matmul=np.matmul):
@@ -380,8 +364,8 @@ def _content_uid(token: str, qw: np.ndarray, t_r: int, t_c: int,
     """Deterministic prepared-matrix identifier.
 
     A digest of the quantised weights and the tiling layout (plus an
-    engine-configuration token), so uids are stable across processes —
-    fork-safe, unlike a per-process counter — and equal exactly when the
+    engine-configuration token), so uids are stable across processes and
+    equal exactly when the
     programmed tiles are value-identical, which makes any tile-result
     cache sharing value-exact by construction. Built on the shared
     :mod:`repro.utils.digest` primitives, like every other content key
@@ -395,11 +379,10 @@ class PreparedMatrix:
     """Weight matrix quantised, sliced, tiled and programmed into models.
 
     ``uid`` identifies the prepared content in tile-result cache keys and
-    runtime layer programs. It is a content digest (weights + tiling +
-    engine token), not a process-local counter: two workers that prepare
-    the same matrix agree on the uid, and two *different* matrices can
-    never collide just because they were prepared in forked processes with
-    the same counter state.
+    layer programs. It is a content digest (weights + tiling + engine
+    token), not a process-local counter: two processes that prepare the
+    same matrix agree on the uid, and two *different* matrices never
+    share one.
     """
 
     def __init__(self, n_in: int, n_out: int, qw: np.ndarray, models: dict,
@@ -424,9 +407,8 @@ class TileResultCache(LruDict):
     integer stream-level block, so hits are value-exact. ``max_entries``
     bounds memory at roughly ``max_entries * batch * cols`` floats.
 
-    Hit/miss counters are updated under the cache lock, so a single
-    instance may be shared by concurrent shard workers (the thread backend
-    does) without racing the statistics.
+    Hit/miss counters are updated under the cache lock, so concurrent
+    matmuls on one engine never race the statistics.
     """
 
     def __init__(self, max_entries: int):
@@ -448,11 +430,6 @@ class TileResultCache(LruDict):
         with self._lock:
             return self.hits, self.misses
 
-    def __setstate__(self, state):
-        super().__setstate__(state)
-        self.hits = 0
-        self.misses = 0
-
     def clear(self) -> None:
         with self._lock:
             super().clear()
@@ -472,13 +449,14 @@ class EngineStats:
     instead of the tile model (a software-side saving; such read-outs still
     count in ``readouts`` and ``adc_conversions``).
 
-    Counters accumulate shard-locally during execution and are folded in
-    through :meth:`merge`, which is lock-protected — per-worker statistics
+    Counters accumulate per call during execution and are folded in
+    through :meth:`merge`, which is lock-protected — concurrent matmuls
     aggregate into one coherent report instead of racing on increments.
     """
 
     # Aliases the kernel's schema: one tuple defines which counters
-    # exist, everywhere (shard dicts, merge validation, snapshots, repr).
+    # exist, everywhere (per-call dicts, merge validation, snapshots,
+    # repr).
     FIELDS = STAT_FIELDS
 
     def __init__(self):
@@ -510,14 +488,6 @@ class EngineStats:
             for field, value in counts.items():
                 setattr(self, field, getattr(self, field) + int(value))
         return self
-
-    def __getstate__(self):
-        return self.snapshot()
-
-    def __setstate__(self, state):
-        self._lock = threading.Lock()
-        for field in self.FIELDS:
-            setattr(self, field, state.get(field, 0))
 
     # Short labels for the repr; fields without one print in full.
     _REPR_LABELS = {"skipped_zero_streams": "skipped",
@@ -565,9 +535,6 @@ class IdealMvmEngine:
                           cfg.weight_format.resolution)
         return cfg.accumulator_format.quantize(value)
 
-    def close(self, wait: bool = True) -> None:
-        """No-op (uniform engine lifecycle API; nothing to release)."""
-
 
 class CrossbarMvmEngine:
     """Bit-sliced, tiled crossbar MVM with a non-ideal tile model.
@@ -577,21 +544,16 @@ class CrossbarMvmEngine:
     also disabled when the ADC models noise, because noisy conversions must
     be re-sampled on every read-out.
 
-    ``executor`` (optional, any :class:`repro.funcsim.runtime.ExecutorBase`)
-    shards every ``matmul`` across tile-rows and batch chunks on the given
-    backend; without one the kernel runs inline, reproducing the historical
-    single-core behaviour bit-for-bit.
-
     ``nonideality`` (optional :class:`repro.nonideal.NonidealitySpec` or
     pipeline) injects device faults at *programming* time: every tile's
     mapped conductances are perturbed by the coordinate-keyed pipeline in
     :meth:`prepare`, before the layer program is built — so the perturbed
-    tiles travel inside the program across thread and process boundaries
-    and every executor backend computes on bit-identical hardware state.
+    tiles travel inside the program and the fused and interpreted
+    kernels compute on bit-identical hardware state.
 
-    ``backend`` selects the array backend of the compiled fused kernel
-    (``"numpy"`` default, ``"numba"``/``"torch"`` when installed; see
-    :mod:`repro.funcsim.runtime.backends`). The interpreter sentinels
+    ``backend`` selects the kernel: ``None``/``"numpy"`` compiles every
+    program into the fused kernel (see
+    :mod:`repro.funcsim.runtime.backends`), the interpreter sentinels
     ``"interp"``/``"interpreted"``/``"off"`` disable the compile pass and
     run the reference kernel; either way the results are bit-identical,
     and the choice never enters cache keys or spec digests.
@@ -599,14 +561,13 @@ class CrossbarMvmEngine:
 
     def __init__(self, xbar_config: CrossbarConfig,
                  sim_config: FuncSimConfig, tile_factory,
-                 tile_cache_size: int = 256, executor=None,
-                 nonideality=None, backend=None):
+                 tile_cache_size: int = 256, nonideality=None,
+                 backend=None):
         tile_factory.check_crossbar(xbar_config)
         self.xbar_config = xbar_config
         self.sim_config = sim_config
         self.tile_factory = tile_factory
         self.name = tile_factory.name
-        self.executor = executor
         self.array_backend = resolve_backend(backend)
         # None for clean engines (identity pipelines normalise to None,
         # keeping the clean path's prepared-matrix tokens byte-identical).
@@ -699,10 +660,9 @@ class CrossbarMvmEngine:
     def matmul(self, x: np.ndarray, prepared) -> np.ndarray:
         """Quantised crossbar product of ``x (B, K)`` with prepared weights.
 
-        With an executor attached the call is sharded across the runtime
-        backend; otherwise the shard kernel runs inline over the full batch
-        (one shard per tile-row, sequential ADC), which is bit-identical to
-        per-stream sequential execution for a noiseless ADC — with ADC
+        The kernel runs once per tile-row over the full batch (sequential
+        ADC), which is bit-identical to per-stream sequential execution
+        for a noiseless ADC — with ADC
         noise the seeded samples are drawn in stacked-batch order, so noisy
         runs are statistically, not bitwise, equivalent to per-stream
         execution while remaining reproducible run-to-run.
@@ -714,9 +674,6 @@ class CrossbarMvmEngine:
             raise ConfigError(
                 "prepared matrix has no layer program; it was not prepared "
                 "by a CrossbarMvmEngine")
-        if self.executor is not None:
-            self.executor.add_layer(prepared.uid, program)
-            return self.executor.matmul(prepared.uid, x, stats=self.stats)
         # The spans observe wall time only — no RNG, no numeric state —
         # so traced and untraced runs are bit-identical.
         with span("engine-compute"):
@@ -729,7 +686,7 @@ class CrossbarMvmEngine:
             out_value = np.zeros((qx.shape[0], plan.out_width))
             fused = contextlib.nullcontext() if program.compiled is None \
                 else span("fused-execute", layer=plan.uid,
-                          backend=program.compiled.backend_name)
+                          backend=program.compiled.backend.name)
             with fused:
                 for tr in range(plan.t_r):
                     tr_counts = run_tile_row(program, qx, x_signs, tr,
@@ -744,22 +701,12 @@ class CrossbarMvmEngine:
             self.stats.merge(counts)
             return out_value[:, :prepared.n_out]
 
-    def close(self, wait: bool = True) -> None:
-        """Release the attached executor's workers (if any).
-
-        The executor keeps serving matmuls inline afterwards, so closing
-        a live engine degrades it to single-core rather than breaking it.
-        """
-        if self.executor is not None:
-            self.executor.close(wait=wait)
-
 
 def make_engine(kind: str, xbar_config: CrossbarConfig,
                 sim_config: FuncSimConfig,
                 emulator: GeniexEmulator | None = None,
                 tile_cache_size: int = 256,
                 batch_invariant: bool = False,
-                executor=None, workers: int | None = None,
                 nonideality=None, backend=None):
     """Engine factory: ``ideal | exact | geniex | analytical | decoupled |
     circuit`` (the :data:`ENGINE_KINDS` tuple).
@@ -779,12 +726,6 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
     execution when ``measure(0) == 0``, so converter offset or noise is
     rejected too.
 
-    ``executor`` selects the runtime backend (``"serial"``, ``"threads"``,
-    ``"process"`` or an :class:`repro.funcsim.runtime.ExecutorBase`
-    instance) and ``workers`` its parallelism; ``workers > 1`` alone
-    defaults to the process backend. Without either, the engine runs
-    single-core exactly as before.
-
     ``nonideality`` (a :class:`repro.nonideal.NonidealitySpec` or
     pipeline; identity normalises to "none") injects device faults into
     every tile at programming time — see :mod:`repro.nonideal`. Rejected
@@ -793,10 +734,10 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
     clean results for a faulty spec would misreport every robustness
     sweep built on it.
 
-    ``backend`` picks the fused-kernel array backend (``None`` resolves
-    through ``$REPRO_BACKEND`` to ``"numpy"``; ``"interp"`` forces the
-    interpreted reference kernel) — purely a performance knob, outputs
-    are bit-identical either way. Ignored for ``ideal``.
+    ``backend`` picks the kernel (``None`` resolves through
+    ``$REPRO_BACKEND`` to ``"numpy"``, the fused kernel; ``"interp"``
+    forces the interpreted reference kernel) — purely a performance
+    knob, outputs are bit-identical either way. Ignored for ``ideal``.
     """
     nonideality = as_pipeline(nonideality)
     if kind == "ideal":
@@ -805,8 +746,6 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
                 "the ideal engine is the digital fixed-point reference "
                 "and has no programmed conductances to perturb; drop the "
                 "nonideality node or pick an analog engine kind")
-        # Digital exact integer math: nothing to shard. executor/workers
-        # are ignored (convert_to_mvm leaves ideal layers detached too).
         return IdealMvmEngine(sim_config)
     if batch_invariant and (sim_config.adc_offset_lsb != 0.0
                             or sim_config.adc_noise_lsb != 0.0):
@@ -839,13 +778,6 @@ def make_engine(kind: str, xbar_config: CrossbarConfig,
         raise ConfigError(
             f"unknown engine kind {kind!r}; expected one of "
             f"{', '.join(ENGINE_KINDS)}")
-    # Resolve the executor last: validation errors above must not leave
-    # an orphaned worker pool behind.
-    if executor is None and workers is not None and workers > 1:
-        executor = "process"
-    if executor is not None:
-        executor = make_executor(executor, workers=workers)
     return CrossbarMvmEngine(xbar_config, sim_config, factory,
                              tile_cache_size=tile_cache_size,
-                             executor=executor, nonideality=nonideality,
-                             backend=backend)
+                             nonideality=nonideality, backend=backend)

@@ -1,67 +1,29 @@
-"""Sharded execution runtime for the functional simulator.
+"""Execution kernels of the functional simulator.
 
 The planner (:mod:`repro.funcsim.planner`) compiles prepared layers into
-static, picklable tile programs; this package executes them. Work is
-decomposed into (tile-row, batch-chunk) shards evaluated by a shared
-kernel, scheduled by one of three interchangeable backends:
+static tile programs; :meth:`repro.funcsim.engine.CrossbarMvmEngine.matmul`
+executes them one tile-row at a time on the calling thread, each tile-row
+through :func:`~repro.funcsim.runtime.kernel.run_tile_row`. That dispatch
+runs the compiled fused kernel when the program carries one (see
+:mod:`repro.funcsim.compiler`) and the interpreted reference kernel
+otherwise — bit-identically either way. The fused kernel's array ops are
+the numpy op set of :mod:`~repro.funcsim.runtime.backends`.
 
-========= ==================================================================
-backend   when to use it
-========= ==================================================================
-serial    single core, zero overhead — the default and the reference
-threads   multi-core hosts; tile math is BLAS-dominated (releases the GIL)
-          and the tile-result cache is shared between workers
-process   multi-core hosts where Python-side decode dominates, or when GIL
-          contention caps thread scaling; programs ship to workers once,
-          activations/outputs travel through shared memory
-========= ==================================================================
-
-Determinism: the shard decomposition depends only on the workload and
-``shard_rows`` — never on the worker count — so in batch-invariant mode
-every backend returns bit-identical outputs, and with ADC noise the
-coordinate-keyed noise streams make results reproducible at any worker
-count (see :mod:`repro.funcsim.runtime.kernel`).
-
-Each shard runs through :func:`~repro.funcsim.runtime.kernel.run_tile_row`,
-which dispatches to the compiled fused kernel when the program carries one
-(see :mod:`repro.funcsim.compiler`) and to the interpreted reference kernel
-otherwise — bit-identically either way. The fused kernel's array ops come
-from the pluggable :mod:`~repro.funcsim.runtime.backends` registry.
+Parallelism comes from outside the kernel: OpenBLAS threads inside each
+tile read-out, the serving scheduler's per-key workers and fleet worker
+processes.
 """
 
-from repro.funcsim.runtime.backends import (
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
-from repro.funcsim.runtime.base import ExecutorBase, make_executor
+from repro.funcsim.runtime.backends import resolve_backend
 from repro.funcsim.runtime.kernel import (
-    DEFAULT_SHARD_ROWS,
-    chunk_ranges,
     execute_tile_row,
-    merge_tile_rows,
     quantize_input,
     run_tile_row,
-    shard_adc,
 )
-from repro.funcsim.runtime.process import ProcessExecutor
-from repro.funcsim.runtime.serial import SerialExecutor
-from repro.funcsim.runtime.threads import ThreadExecutor
 
 __all__ = [
-    "DEFAULT_SHARD_ROWS",
-    "ExecutorBase",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "available_backends",
-    "get_backend",
-    "make_executor",
-    "resolve_backend",
-    "chunk_ranges",
     "execute_tile_row",
-    "merge_tile_rows",
     "quantize_input",
+    "resolve_backend",
     "run_tile_row",
-    "shard_adc",
 ]

@@ -1,32 +1,23 @@
-"""Shard execution kernel shared by every runtime backend.
+"""Tile-row execution kernel: the interpreted reference path.
 
-A *shard* is one (tile-row, batch-chunk) unit of an MVM: the kernel streams
-the chunk's activation bits through every (weight-sign, slice, tile-column)
-model of the tile-row, digitises the analog read-outs and decodes them into
-the tile-row's contribution ``tr_counts`` of shape ``(chunk, t_c * cols)``.
-Shards are independent, so backends may run them in any order on any
-worker; :func:`merge_tile_rows` then accumulates the per-tile-row
-contributions *in tile-row order* through the fixed-point accumulator,
-exactly as the hardware's peripheral digital logic would.
+For one tile-row of an MVM the kernel streams the batch's activation bits
+through every (weight-sign, slice, tile-column) model of the tile-row,
+digitises the analog read-outs and decodes them into the tile-row's
+contribution ``tr_counts`` of shape ``(batch, t_c * cols)``.
+:meth:`repro.funcsim.engine.CrossbarMvmEngine.matmul` then accumulates
+the contributions *in tile-row order* through the fixed-point
+accumulator, exactly as the hardware's peripheral digital logic would.
 
 Determinism contract:
 
-* The shard decomposition is a pure function of the batch size and the
-  executor's ``shard_rows`` — never of the worker count — so the set of
-  shards (and therefore every zero-stream skipping decision) is identical
-  no matter how execution is scheduled.
-* With a deterministic ADC the kernel is pure, so any schedule produces
-  bit-identical results; in batch-invariant mode results are additionally
-  identical across backends *and* chunk sizes.
-* With ADC noise, :func:`shard_adc` derives each shard's noise stream from
-  ``(adc_seed, layer uid, matmul sequence, tile-row, chunk)`` — tile
-  coordinates, not shard assignment — so noisy runs reproduce bit-exactly
-  at any worker count.
-
-The kernel is also the engine's serial execution path: a legacy
-``CrossbarMvmEngine.matmul`` call is one full-batch chunk per tile-row
-with the engine's own sequential ADC passed in, which keeps the refactor
-bit-identical to the historical monolithic implementation.
+* The compiled fused kernel (:mod:`repro.funcsim.compiler`) and this
+  interpreted kernel share the stream gather, so their zero-stream skip
+  decisions, tile-result cache traffic, ADC noise draw order and
+  statistics are identical, and their outputs are bit-identical.
+* With a deterministic ADC the kernel is pure; in batch-invariant mode
+  each output row is additionally independent of the batch it shares.
+* With ADC noise the engine's single seeded ADC draws samples in
+  stacked-batch order, so noisy runs reproduce bit-exactly run to run.
 """
 
 from __future__ import annotations
@@ -39,15 +30,6 @@ from repro.funcsim.planner import LayerPlan, LayerProgram
 from repro.funcsim.slicing import sign_split, split_unsigned
 from repro.funcsim.tiles import pad_axis
 
-#: Default batch rows per shard. Fixed (worker-count independent) so the
-#: shard set — and with it zero-skip decisions and noise keying — depends
-#: only on the workload, never on the execution schedule. Sized so the
-#: Python-side decode loop stays negligible against the batched tile math
-#: while conv-sized im2col batches still split into several chunks per
-#: tile-row for the parallel backends.
-DEFAULT_SHARD_ROWS = 1024
-
-
 def quantize_input(plan: LayerPlan, x: np.ndarray) -> np.ndarray:
     """Validate, quantise and pad a ``(B, n_in)`` activation batch."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -59,33 +41,15 @@ def quantize_input(plan: LayerPlan, x: np.ndarray) -> np.ndarray:
 
 
 def active_signs(qx: np.ndarray) -> list:
-    """Activation signs present in a quantised (chunk) batch.
+    """Activation signs present in a quantised batch.
 
-    Computed over the full input width of the chunk — not per tile-row —
+    Computed over the full input width of the batch — not per tile-row —
     mirroring the historical engine loop so the per-block zero-stream
     skip statistics stay comparable.
     """
     parts = sign_split(qx)
     signs = [k for k, part in enumerate(parts) if np.any(part)]
     return signs or [0]
-
-
-def chunk_ranges(batch: int, shard_rows: int) -> list:
-    """Fixed decomposition of ``batch`` rows into ``(start, stop)`` chunks."""
-    shard_rows = max(1, int(shard_rows))
-    return [(start, min(start + shard_rows, batch))
-            for start in range(0, batch, shard_rows)]
-
-
-def shard_adc(plan: LayerPlan, seq: int, tr: int, chunk: int) -> AdcModel:
-    """ADC instance for one shard, with a coordinate-keyed noise stream."""
-    if plan.adc_noise_rms_a == 0.0:
-        seed = 0  # deterministic transfer function; seed is irrelevant
-    else:
-        seed = plan.noise_seed(seq, tr, chunk)
-    return AdcModel(plan.adc_bits, plan.adc_lsb_a,
-                    offset_a=plan.adc_offset_a,
-                    noise_rms_a=plan.adc_noise_rms_a, seed=seed)
 
 
 def _measure_tile_row(program: LayerProgram, tr: int, stream_levels: list,
@@ -204,13 +168,13 @@ def gather_streams(plan: LayerPlan, qx: np.ndarray, x_signs: list,
 def execute_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
                      tr: int, adc: AdcModel, cache=None,
                      stats=None) -> np.ndarray:
-    """Decoded contribution of tile-row ``tr`` for one quantised chunk.
+    """Decoded contribution of tile-row ``tr`` for one quantised batch.
 
-    ``qx`` is the full-width padded integer activation chunk; ``x_signs``
+    ``qx`` is the full-width padded integer activation batch; ``x_signs``
     the activation signs present in it (see :func:`active_signs`).
-    Returns ``(chunk, t_c * cols)`` float counts, already scaled by the
-    shift-and-add and sign factors but *not* by ``value_lsb`` — the merge
-    step applies that together with the accumulator format.
+    Returns ``(batch, t_c * cols)`` float counts, already scaled by the
+    shift-and-add and sign factors but *not* by ``value_lsb`` — the
+    engine applies that together with the accumulator format.
 
     This is the interpreted *reference* kernel; :func:`run_tile_row`
     dispatches to the compiled fused kernel when the program carries one
@@ -250,12 +214,12 @@ def execute_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
 def run_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
                  tr: int, adc: AdcModel, cache=None,
                  stats=None) -> np.ndarray:
-    """Execute one (tile-row, chunk) shard: compiled when possible.
+    """Execute one tile-row: compiled when possible.
 
     Programs lowered by :func:`repro.funcsim.compiler.compile_program`
     run through the fused kernel (counted as ``fused_calls``); programs
     without a compiled form — compilation disabled, an unfusible tile
-    kind, or the fused kernel declining a shard (memory guard) — run
+    kind, or the fused kernel declining a tile-row (memory guard) — run
     through the interpreted reference kernel, counted as
     ``fallback_calls`` when compilation had been requested. Both paths
     are bit-identical, so the dispatch is purely a performance decision.
@@ -277,24 +241,9 @@ def run_tile_row(program: LayerProgram, qx: np.ndarray, x_signs: list,
                             stats=stats)
 
 
-def merge_tile_rows(plan: LayerPlan, counts: np.ndarray) -> np.ndarray:
-    """Accumulate per-tile-row counts ``(t_r, B, t_c * cols)`` digitally.
-
-    Tile-row partial sums pass through the fixed-point accumulator register
-    in tile-row order (paper: 32-bit, 24 fractional) — the order is part of
-    the modelled hardware, so the merge is sequential no matter how the
-    shards were scheduled. Returns the ``(B, n_out)`` output values.
-    """
-    acc = plan.sim_config.accumulator_format
-    out_value = np.zeros(counts.shape[1:])
-    for tr in range(counts.shape[0]):
-        out_value = acc.quantize(out_value + counts[tr] * plan.value_lsb)
-    return out_value[:, :plan.n_out]
-
-
-#: Every per-shard counter, in report order. The single source of truth
+#: Every per-call counter, in report order. The single source of truth
 #: for the stat schema: ``EngineStats.FIELDS`` aliases this tuple, so the
-#: kernel's shard-local dicts and the engine's cumulative report can
+#: kernel's per-call dicts and the engine's cumulative report can
 #: never drift apart (a new counter added here is automatically counted,
 #: merged, snapshotted and serialised everywhere).
 STAT_FIELDS = ("matmuls", "readouts", "skipped_zero_streams",
@@ -303,5 +252,5 @@ STAT_FIELDS = ("matmuls", "readouts", "skipped_zero_streams",
 
 
 def new_stat_counts() -> dict:
-    """Fresh per-shard counter dict (mergeable into ``EngineStats``)."""
+    """Fresh per-call counter dict (mergeable into ``EngineStats``)."""
     return dict.fromkeys(STAT_FIELDS, 0)

@@ -142,10 +142,9 @@ def run_mitigation(spec: EmulationSpec, data, *, hidden=(32,),
 
     A previously persisted artifact under the same :func:`mitigated_key`
     is rebuilt from the zoo instead of retrained (``from_cache=True``;
-    metrics and history come from the stored record). The caller owns
-    ``session`` when one is passed; otherwise a session is opened and
-    closed internally, leaving the returned serving model on an inline
-    engine.
+    metrics and history come from the stored record). Without a
+    ``session`` one is opened for the spec; the returned serving model
+    runs on its engine.
     """
     mitigation = spec.mitigation
     if mitigation.is_identity:
@@ -164,89 +163,84 @@ def run_mitigation(spec: EmulationSpec, data, *, hidden=(32,),
     else:
         sizes = _infer_sizes(x_train, y_train, y_test, hidden)
 
-    owns_session = session is None
     if session is None:
         session = Session(spec, zoo=zoo, progress=progress)
     zoo = session.zoo or zoo or GeniexZoo()
-    try:
-        cached = zoo.load_mitigated(key)
-        if cached is not None and model is None:
-            state, meta = cached
-            rebuilt = MLP(tuple(meta["sizes"]), seed=model_seed)
-            rebuilt.load_state_dict(
-                {k[len("model::"):]: v for k, v in state.items()
-                 if k.startswith("model::")})
-            rebuilt.eval()
-            serving = session.compile(rebuilt)
-            if meta.get("calibrated"):
-                serving = CalibratedModel(serving,
-                                          state["calibration::scale"],
-                                          state["calibration::offset"])
-            return MitigationResult(
-                key=key, spec=spec, sizes=tuple(meta["sizes"]),
-                model=rebuilt, serving=serving,
-                history=list(meta.get("history", [])),
-                metrics=dict(meta.get("metrics", {})), from_cache=True)
+    cached = zoo.load_mitigated(key)
+    if cached is not None and model is None:
+        state, meta = cached
+        rebuilt = MLP(tuple(meta["sizes"]), seed=model_seed)
+        rebuilt.load_state_dict(
+            {k[len("model::"):]: v for k, v in state.items()
+             if k.startswith("model::")})
+        rebuilt.eval()
+        serving = session.compile(rebuilt)
+        if meta.get("calibrated"):
+            serving = CalibratedModel(serving,
+                                      state["calibration::scale"],
+                                      state["calibration::offset"])
+        return MitigationResult(
+            key=key, spec=spec, sizes=tuple(meta["sizes"]),
+            model=rebuilt, serving=serving,
+            history=list(meta.get("history", [])),
+            metrics=dict(meta.get("metrics", {})), from_cache=True)
 
-        noise = mitigation.noise
-        history: list = []
-        if model is None:
-            model = MLP(sizes, seed=model_seed)
-        if not noise.is_identity:
-            history = train_with_noise(
-                model, x_train, y_train,
-                NoiseSpec(weight_sigma=noise.weight_sigma,
-                          activation_sigma=noise.activation_sigma,
-                          include_1d=noise.include_1d),
-                epochs=noise.epochs, batch_size=noise.batch_size,
-                lr=noise.lr, seed=mitigation.seed, verbose=progress,
-                engine=session.engine if noise.hardware else None,
-                chunk_rows=spec.runtime.chunk_rows)
-        model.eval()
-        serving = session.compile(model)
+    noise = mitigation.noise
+    history: list = []
+    if model is None:
+        model = MLP(sizes, seed=model_seed)
+    if not noise.is_identity:
+        history = train_with_noise(
+            model, x_train, y_train,
+            NoiseSpec(weight_sigma=noise.weight_sigma,
+                      activation_sigma=noise.activation_sigma,
+                      include_1d=noise.include_1d),
+            epochs=noise.epochs, batch_size=noise.batch_size,
+            lr=noise.lr, seed=mitigation.seed, verbose=progress,
+            engine=session.engine if noise.hardware else None,
+            chunk_rows=spec.runtime.chunk_rows)
+    model.eval()
+    serving = session.compile(model)
 
-        calibration = mitigation.calibration
-        scale = offset = None
-        if not calibration.is_identity:
-            if calibration.samples > len(x_train):
-                raise ConfigError(
-                    f"mitigation.calibration.samples = "
-                    f"{calibration.samples} exceeds the training split "
-                    f"({len(x_train)} samples)")
-            x_cal = x_train[:calibration.samples]
-            serving = fit_output_calibration(
-                serving, model, x_cal, batch=calibration.batch,
-                ridge=calibration.ridge)
-            scale, offset = serving.scale, serving.offset
+    calibration = mitigation.calibration
+    scale = offset = None
+    if not calibration.is_identity:
+        if calibration.samples > len(x_train):
+            raise ConfigError(
+                f"mitigation.calibration.samples = "
+                f"{calibration.samples} exceeds the training split "
+                f"({len(x_train)} samples)")
+        x_cal = x_train[:calibration.samples]
+        serving = fit_output_calibration(
+            serving, model, x_cal, batch=calibration.batch,
+            ridge=calibration.ridge)
+        scale, offset = serving.scale, serving.offset
 
-        metrics = {
-            "float_accuracy": _accuracy(model, x_test, y_test),
-            "mitigated_accuracy": _accuracy(serving, x_test, y_test),
-        }
-        if baseline:
-            reference = MLP(sizes, seed=model_seed)
-            train_with_noise(
-                reference, x_train, y_train, NoiseSpec(0.0, 0.0),
-                epochs=max(noise.epochs, 1), batch_size=noise.batch_size,
-                lr=noise.lr, seed=mitigation.seed)
-            metrics["baseline_accuracy"] = _accuracy(
-                session.compile(reference), x_test, y_test)
+    metrics = {
+        "float_accuracy": _accuracy(model, x_test, y_test),
+        "mitigated_accuracy": _accuracy(serving, x_test, y_test),
+    }
+    if baseline:
+        reference = MLP(sizes, seed=model_seed)
+        train_with_noise(
+            reference, x_train, y_train, NoiseSpec(0.0, 0.0),
+            epochs=max(noise.epochs, 1), batch_size=noise.batch_size,
+            lr=noise.lr, seed=mitigation.seed)
+        metrics["baseline_accuracy"] = _accuracy(
+            session.compile(reference), x_test, y_test)
 
-        state = {f"model::{k}": np.asarray(v.data if isinstance(v, Tensor)
-                                           else v)
-                 for k, v in model.state_dict().items()}
-        if scale is not None:
-            state["calibration::scale"] = np.asarray(scale)
-            state["calibration::offset"] = np.asarray(offset)
-        meta = {"sizes": list(sizes), "model_seed": int(model_seed),
-                "dataset": _dataset_identity(data),
-                "calibrated": scale is not None,
-                "history": [float(h) for h in history],
-                "metrics": metrics}
-        zoo.save_mitigated(key, state, meta)
-        return MitigationResult(key=key, spec=spec, sizes=sizes,
-                                model=model, serving=serving,
-                                history=history, metrics=metrics)
-    finally:
-        if owns_session:
-            session.close()
+    state = {f"model::{k}": np.asarray(v.data if isinstance(v, Tensor)
+                                       else v)
+             for k, v in model.state_dict().items()}
+    if scale is not None:
+        state["calibration::scale"] = np.asarray(scale)
+        state["calibration::offset"] = np.asarray(offset)
+    meta = {"sizes": list(sizes), "model_seed": int(model_seed),
+            "dataset": _dataset_identity(data),
+            "calibrated": scale is not None,
+            "history": [float(h) for h in history],
+            "metrics": metrics}
+    zoo.save_mitigated(key, state, meta)
+    return MitigationResult(key=key, spec=spec, sizes=sizes,
+                            model=model, serving=serving,
+                            history=history, metrics=metrics)

@@ -8,14 +8,12 @@ overrides, content digests) but lives here so the device layer carries no
 dependency on the API layer.
 
 :class:`NonidealityPipeline` turns the spec into perturbed conductances.
-Determinism contract (mirrors the ADC-noise scheme of the sharded
-runtime): every draw comes from a *coordinate-keyed* RNG seeded by
-``(spec seed, transform index, tile coordinates)`` and each transform
-draws its whole tile in one fixed-shape call, so every cell position
-receives the same perturbation no matter the tile iteration order, the
-executor backend, the worker count, or the process that programs the tile
-— two engines built anywhere from the same spec hold bit-identical
-perturbed tiles.
+Determinism contract: every draw comes from a *coordinate-keyed* RNG
+seeded by ``(spec seed, transform index, tile coordinates)`` and each
+transform draws its whole tile in one fixed-shape call, so every cell
+position receives the same perturbation no matter the tile iteration
+order, the kernel, or the process that programs the tile — two engines
+built anywhere from the same spec hold bit-identical perturbed tiles.
 """
 
 from __future__ import annotations

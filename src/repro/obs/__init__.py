@@ -1,11 +1,11 @@
 """Unified observability: metrics registry, tracing spans, exporters.
 
 Stdlib-only instrumentation layer shared by the serving stack, the
-session facade and the funcsim runtime:
+session facade and the funcsim engine:
 
 * :mod:`repro.obs.metrics` — named counters / gauges / fixed-bucket
   histograms in a thread-safe :class:`MetricsRegistry`; snapshots carry
-  p50/p95/p99 estimates and merge across shard workers.
+  p50/p95/p99 estimates and merge across registries.
 * :mod:`repro.obs.trace` — context-local :class:`Trace` objects with
   nested timed spans, a no-op fast path when no trace is active, and a
   bounded in-process ring buffer of recent traces.
@@ -39,7 +39,6 @@ from repro.obs.report import (
 )
 from repro.obs.trace import (
     Span,
-    SpanTimings,
     Trace,
     TraceBuffer,
     activate,
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_S",
     "MetricsRegistry",
     "Span",
-    "SpanTimings",
     "Trace",
     "TraceBuffer",
     "activate",

@@ -12,8 +12,8 @@ report p50/p95/p99 estimates by linear interpolation inside the bucket —
 the standard Prometheus ``histogram_quantile`` estimate, computed at
 snapshot time so the observe path stays two integer adds.
 
-Snapshots are plain dicts (JSON-ready) and *mergeable*: folding a shard
-worker's snapshot into another registry sums counters and bucket counts,
+Snapshots are plain dicts (JSON-ready) and *mergeable*: folding one
+process's snapshot into another registry sums counters and bucket counts,
 mirroring ``EngineStats.merge``. Collectors registered with
 :meth:`MetricsRegistry.register_collector` contribute derived families
 (cache sizes, warm-engine counters) at snapshot time only, keeping the
@@ -300,7 +300,7 @@ class MetricsRegistry:
         return out
 
     def merge(self, snapshot: dict) -> None:
-        """Fold a snapshot (e.g. from a shard worker) into this registry.
+        """Fold a snapshot (e.g. from another process) into this registry.
 
         Counters and histograms sum, like ``EngineStats.merge``; gauges
         overwrite (last writer wins — a merged gauge is a point sample,

@@ -18,9 +18,8 @@ Two propagation caveats the serving layer works around explicitly:
   ``asyncio.to_thread``), so the scheduler activates a fresh collector
   trace inside the executor-thread callable and grafts the captured
   spans back into each awaiting request's trace;
-* a span completed elsewhere (queue wait measured by the scheduler,
-  shard timings folded up by an executor) is attached with
-  :meth:`Trace.add_span`, which is thread-safe.
+* a span completed elsewhere (queue wait measured by the scheduler) is
+  attached with :meth:`Trace.add_span`, which is thread-safe.
 
 Span counts are capped per trace (``max_spans``) so a request that fans
 out into thousands of engine calls (a converted DNN) cannot balloon the
@@ -233,56 +232,3 @@ class TraceBuffer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._traces)
-
-
-class SpanTimings:
-    """Mergeable ``{stage: (count, total_seconds)}`` accumulator.
-
-    The runtime executors record shard-local timings into one of these
-    per call and fold them upward exactly like ``EngineStats.merge`` —
-    shard workers accumulate without contention, the per-call object
-    merges into the executor's cumulative timings under a lock, and the
-    process backend's workers ship plain dict snapshots over IPC.
-    """
-
-    __slots__ = ("_lock", "_data")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._data: dict = {}
-
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
-        with self._lock:
-            entry = self._data.get(name)
-            if entry is None:
-                self._data[name] = [count, seconds]
-            else:
-                entry[0] += count
-                entry[1] += seconds
-
-    def merge(self, other) -> "SpanTimings":
-        """Fold another accumulator (or its snapshot dict) into this one."""
-        items = other.snapshot().items() if isinstance(other, SpanTimings) \
-            else dict(other).items()
-        with self._lock:
-            for name, value in items:
-                count = value["count"] if isinstance(value, dict) \
-                    else value[0]
-                total = value["total_s"] if isinstance(value, dict) \
-                    else value[1]
-                entry = self._data.get(name)
-                if entry is None:
-                    self._data[name] = [count, total]
-                else:
-                    entry[0] += count
-                    entry[1] += total
-        return self
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {name: {"count": entry[0], "total_s": entry[1]}
-                    for name, entry in self._data.items()}
-
-    def __bool__(self) -> bool:
-        with self._lock:
-            return bool(self._data)

@@ -20,7 +20,7 @@ requests — from any client, in any order — land on the same warm object
   it also runs on the executor under a per-key lock. Engines are built
   through :func:`repro.api.session.build_engine` from the spec, under a
   server-owned runtime policy (batch-invariant whenever possible,
-  thread sharding, bounded tile cache).
+  bounded tile cache).
 * **mitigated** — whole mitigated classifiers (noise-trained weights on
   a live engine, output calibration applied), keyed by
   :func:`repro.mitigation.runner.mitigated_key` — full spec digest
@@ -50,7 +50,7 @@ from repro.core.emulator import GeniexEmulator, MatrixEmulator
 from repro.core.zoo import GeniexZoo
 from repro.errors import ConfigError, ShapeError
 from repro.funcsim.config import FuncSimConfig
-from repro.funcsim.convert import compile_network, convert_to_mvm, mvm_layers
+from repro.funcsim.convert import convert_to_mvm, mvm_layers
 from repro.funcsim.engine import EngineStats
 from repro.mitigation.runner import mitigated_key, run_mitigation
 from repro.nn.serialization import net_digest, net_from_wire
@@ -75,14 +75,6 @@ class PreparedEngine:
     def matmul(self, x: np.ndarray) -> np.ndarray:
         return self.engine.matmul(x, self.prepared)
 
-    def close(self, wait: bool = True) -> None:
-        """Release the engine's runtime workers (if sharded).
-
-        The engine stays usable (inline, single-core) afterwards, so
-        microbatches queued against an evicted engine still complete.
-        """
-        self.engine.close(wait=wait)
-
 
 @dataclass
 class MitigatedModel:
@@ -93,7 +85,6 @@ class MitigatedModel:
     sizes: tuple
     metrics: dict
     from_cache: bool
-    _session: Session
     _serving: object
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -102,10 +93,6 @@ class MitigatedModel:
         with no_grad():
             return np.asarray(self._serving(Tensor(np.atleast_2d(x))).data,
                               dtype=np.float64)
-
-    def close(self, wait: bool = True) -> None:
-        """Release the session's runtime workers (engine degrades inline)."""
-        self._session.close(wait=wait)
 
 
 @dataclass
@@ -156,10 +143,6 @@ class CompiledNet:
             out = np.asarray(out.data, dtype=np.float64)
         return out.reshape(out.shape[0], -1)
 
-    def close(self, wait: bool = True) -> None:
-        """Release the engine's runtime workers (degrades inline)."""
-        self._engine.close(wait=wait)
-
 
 def _net_input_features(wire: dict) -> tuple:
     """``(n_in, input_shape)`` a net expects per request row.
@@ -202,23 +185,6 @@ class _CacheStats:
         self.misses = 0
 
 
-def _close_off_loop(warm) -> None:
-    """Close a warm object off the event loop thread.
-
-    Eviction hooks fire inside ``LruDict.put``; when the put happens on
-    the event loop (the mitigated tier's does), running the session
-    close inline would stall every in-flight request behind runtime-pool
-    teardown. With a running loop the close is handed to the default
-    executor; on a plain thread (tests, shutdown paths) it runs inline.
-    """
-    try:
-        loop = asyncio.get_running_loop()
-    except RuntimeError:
-        warm.close(wait=False)
-        return
-    loop.run_in_executor(None, lambda: warm.close(wait=False))
-
-
 class ModelRegistry:
     """LRU registry of warm emulators, crossbars and prepared engines."""
 
@@ -226,41 +192,21 @@ class ModelRegistry:
                  max_models: int = 8, max_crossbars: int = 128,
                  max_engines: int = 16, max_mitigated: int = 8,
                  max_nets: int = 8, tile_cache_size: int = 256,
-                 engine_workers: int = 1, backend: str | None = None):
+                 backend: str | None = None):
         self.zoo = zoo or GeniexZoo()
         self.tile_cache_size = int(tile_cache_size)
-        # > 1 shards every prepared engine's matmuls over the funcsim
-        # thread backend (thread workers compose with the asyncio
-        # executor threads running the batched calls; process pools per
-        # cached engine would be far too heavy for a serving tier).
-        self.engine_workers = max(1, int(engine_workers))
-        # Array backend of the compiled fused kernel for every warm
-        # engine (None resolves through $REPRO_BACKEND to numpy);
-        # bit-identity across backends keeps responses byte-stable, so
-        # this is server policy, not part of any cache key.
+        # Kernel of every warm engine (None resolves through
+        # $REPRO_BACKEND to the fused kernel); bit-identity across
+        # kernels keeps responses byte-stable, so this is server policy,
+        # not part of any cache key.
         self.backend = backend
         self._models = LruDict(max_models)      # model key -> emulator
         self._crossbars = LruDict(max_crossbars)
-        # Evicted engines release their sharded-runtime worker pools
-        # without blocking the event loop (wait=False); the closed engine
-        # still answers queued microbatches inline.
-        self._engines = LruDict(
-            max_engines, on_evict=lambda _key, warm: warm.close(wait=False))
-        # Mitigated models own a whole session; eviction releases its
-        # runtime workers the same way (the zoo artifact survives, so a
-        # re-request rebuilds from disk, not from scratch). Unlike the
-        # engines tier — whose puts happen on executor threads — the
-        # mitigated tier is populated from the event loop, so the close
-        # is pushed to the executor instead of stalling the loop.
-        self._mitigated = LruDict(
-            max_mitigated,
-            on_evict=lambda _key, warm: _close_off_loop(warm))
-        # Warm compiled networks (model-level serving). Populated from
-        # the event loop like the mitigated tier, so eviction pushes the
-        # engine close to the executor; the zoo artifact survives and a
-        # re-request disk-loads + recompiles instead of re-uploading.
-        self._nets = LruDict(
-            max_nets, on_evict=lambda _key, warm: _close_off_loop(warm))
+        self._engines = LruDict(max_engines)
+        # Evicted mitigated models and compiled networks survive as zoo
+        # artifacts, so a re-request rebuilds from disk, not from scratch.
+        self._mitigated = LruDict(max_mitigated)
+        self._nets = LruDict(max_nets)
         self._stats = {"models": _CacheStats(), "crossbars": _CacheStats(),
                        "engines": _CacheStats(),
                        "mitigated": _CacheStats(), "nets": _CacheStats()}
@@ -410,19 +356,14 @@ class ModelRegistry:
         batch-invariantly whenever the kind/ADC combination allows it —
         so coalesced microbatch responses are byte-identical to direct
         per-request calls — with the registry's tile-cache size and
-        thread sharding. (Thread workers compose with the asyncio
-        executor threads running the batched calls; per-engine process
-        pools would be far too heavy for a serving tier.) Clients cannot
-        steer the server onto a process pool or an unbounded cache by
-        submitting a creative runtime node.
+        kernel. Clients cannot steer the server onto an unbounded cache
+        by submitting a creative runtime node.
         """
         invariant = supports_batch_invariance(spec.engine,
                                               spec.sim.to_config())
         return spec.evolve(runtime={
             "batch_invariant": invariant,
             "tile_cache_size": self.tile_cache_size,
-            "executor": "threads" if self.engine_workers > 1 else None,
-            "workers": self.engine_workers,
             "backend": self.backend,
         })
 
@@ -505,20 +446,16 @@ class ModelRegistry:
                 def build() -> MitigatedModel:
                     session = Session(spec, zoo=self.zoo,
                                       emulator=emulator)
-                    try:
-                        result = run_mitigation(
-                            spec, dataset, hidden=hidden,
-                            model_seed=model_seed, zoo=self.zoo,
-                            session=session)
-                    except BaseException:
-                        session.close(wait=False)
-                        raise
+                    result = run_mitigation(
+                        spec, dataset, hidden=hidden,
+                        model_seed=model_seed, zoo=self.zoo,
+                        session=session)
                     return MitigatedModel(
                         key=key, spec_key=spec.key(),
                         sizes=tuple(result.sizes),
                         metrics=dict(result.metrics),
                         from_cache=result.from_cache,
-                        _session=session, _serving=result.serving)
+                        _serving=result.serving)
 
                 warm = await loop.run_in_executor(None, build)
                 self._mitigated.put(key, warm)
@@ -630,13 +567,8 @@ class ModelRegistry:
             started = time.perf_counter()
             model = net_from_wire(wire)
             engine = build_engine(sspec, emulator=emulator)
-            try:
-                converted = convert_to_mvm(
-                    model, engine, chunk_rows=sspec.runtime.chunk_rows)
-                compile_network(converted)
-            except BaseException:
-                engine.close(wait=False)
-                raise
+            converted = convert_to_mvm(
+                model, engine, chunk_rows=sspec.runtime.chunk_rows)
             return CompiledNet(
                 key=key, net_digest=digest, model_key=sspec.model_key(),
                 spec_key=sspec.key(), engine_kind=sspec.engine,

@@ -38,7 +38,7 @@ a ``queue-wait`` span (enqueue → flush) and a ``batch-execute`` span
 (flush → result). Because ``run_in_executor`` does not propagate
 contextvars, the executor callable activates a private collector trace
 around ``batch_fn``; whatever spans the model records (engine-compute,
-tile shards) are grafted as ``batch-execute`` children into *every*
+fused-execute) are grafted as ``batch-execute`` children into *every*
 request of the batch — the compute genuinely served them all.
 """
 
@@ -287,7 +287,8 @@ class MicrobatchScheduler:
         if traced:
             # contextvars do not cross run_in_executor: activate a fresh
             # collector trace on the worker thread, and graft whatever the
-            # model records (engine-compute, shards) into every request.
+            # model records (engine-compute, fused-execute) into every
+            # request.
             def fn(stacked, _fn=batch_fn):
                 collector = Trace("batch-execute", max_spans=64)
                 token = activate(collector)

@@ -18,14 +18,10 @@ class LruDict:
     that call back into the base class safe.
     """
 
-    def __init__(self, max_entries: int, on_evict=None):
+    def __init__(self, max_entries: int):
         self.max_entries = int(max_entries)
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.RLock()
-        # Optional ``on_evict(key, value)`` hook, called after the entry
-        # has left the mapping (outside the critical section) so caches of
-        # resource-owning values can release them (e.g. executor pools).
-        self._on_evict = on_evict
 
     def __len__(self) -> int:
         with self._lock:
@@ -43,7 +39,6 @@ class LruDict:
             return value
 
     def put(self, key, value) -> None:
-        evicted = []
         with self._lock:
             self._data[key] = value
             # Re-putting an existing key must also refresh its recency;
@@ -51,23 +46,7 @@ class LruDict:
             # entries would be evicted as if they were cold.
             self._data.move_to_end(key)
             while len(self._data) > max(self.max_entries, 0):
-                evicted.append(self._data.popitem(last=False))
-        if self._on_evict is not None:
-            for evicted_key, evicted_value in evicted:
-                self._on_evict(evicted_key, evicted_value)
-
-    def __getstate__(self):
-        # Caches are semantically transparent, so they pickle *empty*:
-        # entries may hold unpicklable values (sparse LU objects) and the
-        # lock/eviction hook cannot cross process boundaries. Worker
-        # processes simply re-fill their local copies.
-        return {"max_entries": self.max_entries}
-
-    def __setstate__(self, state):
-        self.max_entries = state["max_entries"]
-        self._data = OrderedDict()
-        self._lock = threading.RLock()
-        self._on_evict = None
+                self._data.popitem(last=False)
 
     def keys(self) -> list:
         """Snapshot of the keys, oldest first."""

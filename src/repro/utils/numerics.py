@@ -120,6 +120,10 @@ def batch_invariant_matmul(a: np.ndarray, b: np.ndarray,
             key[0], key[1], a.dtype, b.dtype)
     if not fast:
         return _einsum_matmul(a, b, out)
+    # The probe validated C-ordered operands only; other layouts (e.g. a
+    # transposed weight view) dispatch to different gemm kernels.
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
     if a.shape[0] == 1:
         padded = (np.concatenate([a, a]) @ b)[:1]
         if out is None:

@@ -72,6 +72,11 @@ class TestStrictDecoding:
     def test_unknown_nested_field_names_dotted_path(self):
         with pytest.raises(ConfigError, match="spec.xbar.rram.'i0'"):
             EmulationSpec.from_dict({"xbar": {"rram": {"i0": 1e-4}}})
+        # The executor knobs were removed; old spec dicts fail loudly.
+        for knob, value in (("workers", 2), ("executor", "threads")):
+            with pytest.raises(ConfigError,
+                               match=f"spec.runtime.'{knob}'"):
+                EmulationSpec.from_dict({"runtime": {knob: value}})
 
     def test_invalid_value_names_path(self):
         with pytest.raises(ConfigError, match="invalid spec.xbar"):
@@ -94,10 +99,10 @@ class TestStrictDecoding:
             get_preset("does-not-exist")
 
     def test_runtime_validation(self):
-        with pytest.raises(ConfigError, match="workers"):
-            RuntimeSpec(workers=0)
-        with pytest.raises(ConfigError, match="executor"):
-            RuntimeSpec(executor="gpu")
+        with pytest.raises(ConfigError, match="tile_cache_size"):
+            RuntimeSpec(tile_cache_size=-1)
+        with pytest.raises(ConfigError, match="chunk_rows"):
+            RuntimeSpec(chunk_rows=0)
         with pytest.raises(ConfigError, match="mode"):
             EmulatorSpec(mode="spicy")
 
@@ -110,7 +115,7 @@ class TestEvolve:
             ("exact", 8, 4)
 
     def test_dataclass_value_replaces_subtree(self):
-        runtime = RuntimeSpec(workers=3, executor="threads")
+        runtime = RuntimeSpec(tile_cache_size=3, backend="interp")
         assert EmulationSpec().evolve(runtime=runtime).runtime == runtime
 
     def test_precedence_evolve_over_preset_over_defaults(self):
@@ -188,8 +193,8 @@ class TestKeys:
 
     def test_key_ignores_value_neutral_runtime_knobs(self):
         spec = get_preset("quick")
-        assert spec.evolve(runtime={"workers": 4,
-                                    "executor": "threads",
+        assert spec.evolve(runtime={"backend": "interp",
+                                    "chunk_rows": 7,
                                     "tile_cache_size": 0}).key() == \
             spec.key()
 

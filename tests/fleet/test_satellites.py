@@ -1,16 +1,13 @@
-"""Satellite coverage: client retry/timeout policy and evict-off-loop.
+"""Satellite coverage: client retry/timeout policy.
 
 The :class:`ServeClient` retry contract is asserted against real sockets
 that misbehave in controlled ways: nothing listening (refused → one
 retry → :class:`ClientConnectionError` naming the endpoint), a server
 that accepts but never answers (timeout → :class:`ClientTimeoutError`,
 provably *not* retried), and a keep-alive peer that drops the idle
-connection (transparent one-shot re-send). The registry's mitigated-tier
-eviction helper is checked to run session close off the event-loop
-thread when a loop is running, inline otherwise.
+connection (transparent one-shot re-send).
 """
 
-import asyncio
 import socket
 import threading
 
@@ -21,7 +18,6 @@ from repro.serve.client import (
     ClientTimeoutError,
     ServeClient,
 )
-from repro.serve.registry import _close_off_loop
 
 
 def free_port() -> int:
@@ -136,62 +132,3 @@ class TestClientConnectionErrors:
             assert server.connections == 2
         finally:
             server.close()
-
-
-class _FakeWarm:
-    """Records which thread ran ``close`` (the evict callback target)."""
-
-    def __init__(self):
-        self.closed_on = None
-
-    def close(self, wait=True):
-        self.closed_on = threading.current_thread()
-
-
-class TestCloseOffLoop:
-    def test_runs_on_executor_when_loop_is_running(self):
-        warm = _FakeWarm()
-
-        async def scenario():
-            loop_thread = threading.current_thread()
-            _close_off_loop(warm)
-            # The close lands on the default executor, not the loop.
-            for _ in range(100):
-                if warm.closed_on is not None:
-                    break
-                await asyncio.sleep(0.01)
-            return loop_thread
-
-        loop_thread = asyncio.run(scenario())
-        assert warm.closed_on is not None
-        assert warm.closed_on is not loop_thread
-
-    def test_runs_inline_without_a_loop(self):
-        warm = _FakeWarm()
-        _close_off_loop(warm)
-        assert warm.closed_on is threading.current_thread()
-
-    def test_mitigated_tier_evict_uses_the_helper(self, tmp_path):
-        """The wiring itself: evicting a mitigated entry while the event
-        loop runs must not call ``close`` on the loop thread."""
-        from repro.core.zoo import GeniexZoo
-        from repro.serve.registry import ModelRegistry
-
-        registry = ModelRegistry(GeniexZoo(cache_dir=str(tmp_path / "zoo")))
-        warm = _FakeWarm()
-
-        async def scenario():
-            loop_thread = threading.current_thread()
-            registry._mitigated.put("a", warm)
-            # Overflow the tier far beyond capacity to force eviction.
-            for i in range(registry._mitigated.max_entries + 1):
-                registry._mitigated.put(f"filler-{i}", _FakeWarm())
-            for _ in range(100):
-                if warm.closed_on is not None:
-                    break
-                await asyncio.sleep(0.01)
-            return loop_thread
-
-        loop_thread = asyncio.run(scenario())
-        assert warm.closed_on is not None
-        assert warm.closed_on is not loop_thread

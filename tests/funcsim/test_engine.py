@@ -189,7 +189,6 @@ class TestEngineKindsDocumented:
             emulator = self._tiny_emulator() if kind == "geniex" else None
             engine = make_engine(kind, XCFG, SCFG, emulator=emulator)
             assert hasattr(engine, "matmul") and hasattr(engine, "prepare")
-            engine.close()
 
     def test_undocumented_kind_raises_config_error(self):
         from repro.funcsim.engine import ENGINE_KINDS
@@ -221,7 +220,6 @@ class TestInvariantKindsSingleSource:
             if kind in INVARIANT_KINDS:
                 engine = build()
                 assert engine.tile_factory.batch_invariant
-                engine.close()
             else:
                 with pytest.raises(ConfigError,
                                    match="batch-invariant"):

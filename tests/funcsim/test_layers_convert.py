@@ -161,64 +161,3 @@ class TestConvertContainers:
         with no_grad():
             after = converted(x).data
         np.testing.assert_array_equal(before, after)
-
-
-class TestConvertExecutor:
-    """convert_to_mvm(..., executor=...) network-level compilation."""
-
-    def _model(self):
-        return LeNet(in_channels=1, num_classes=4, image_size=8, width=4,
-                     seed=0).eval()
-
-    def _engine(self):
-        return make_engine("exact", XCFG, SCFG, batch_invariant=True)
-
-    @pytest.mark.parametrize("backend,workers", [("serial", None),
-                                                 ("threads", 2),
-                                                 ("process", 2)])
-    def test_executor_matches_inline(self, rng, backend, workers):
-        from repro.funcsim import close_mvm_executor
-
-        x = Tensor(rng.normal(size=(5, 1, 8, 8)).astype(np.float32) * 0.5)
-        with no_grad():
-            ref = convert_to_mvm(self._model(), self._engine())(x).data
-            converted = convert_to_mvm(self._model(), self._engine(),
-                                       executor=backend, workers=workers)
-            out = converted(x).data
-        close_mvm_executor(converted)
-        np.testing.assert_array_equal(out, ref)
-
-    def test_executor_attached_to_every_layer(self):
-        converted = convert_to_mvm(self._model(), self._engine(),
-                                   executor="serial")
-        layers = [m for m in converted.modules()
-                  if type(m).__name__ in ("LinearMVM", "Conv2dMVM")]
-        assert layers and all(l.executor is converted.mvm_executor
-                              for l in layers)
-        assert all(converted.mvm_executor.has_layer(l.layer_id)
-                   for l in layers)
-
-    def test_workers_alone_selects_process(self):
-        from repro.funcsim import ProcessExecutor, close_mvm_executor
-
-        converted = convert_to_mvm(self._model(), self._engine(), workers=2)
-        assert isinstance(converted.mvm_executor, ProcessExecutor)
-        close_mvm_executor(converted)
-
-    def test_ideal_engine_ignores_executor(self):
-        from repro.funcsim import IdealMvmEngine
-
-        converted = convert_to_mvm(self._model(),
-                                   IdealMvmEngine(SCFG), executor="serial")
-        layers = [m for m in converted.modules()
-                  if type(m).__name__ in ("LinearMVM", "Conv2dMVM")]
-        # Digital engines have no tile program; layers stay detached.
-        assert all(l.executor is None for l in layers)
-
-    def test_compile_network_collects_programs(self):
-        from repro.funcsim import compile_network
-
-        converted = convert_to_mvm(self._model(), self._engine())
-        network = compile_network(converted)
-        assert len(network) >= 2
-        assert network.total_cost().readouts > 0

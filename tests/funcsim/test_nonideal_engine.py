@@ -2,9 +2,9 @@
 
 The headline guarantee: perturbation happens once at tile-programming
 time with coordinate-keyed RNG streams, so perturbed engines are
-bit-identical across executor kinds and worker counts, and a perturbed
+bit-identical across the fused and interpreted kernels, and a perturbed
 preparation can never share prepared-matrix uids (and with them
-tile-result cache entries or runtime layer programs) with a clean one.
+tile-result cache entries or layer programs) with a clean one.
 """
 
 import numpy as np
@@ -30,16 +30,11 @@ def operands():
     return x, weights
 
 
-def run(kind, operands, nonideality=None, executor=None, workers=None,
-        **kwargs):
+def run(kind, operands, nonideality=None, **kwargs):
     x, weights = operands
-    engine = make_engine(kind, XBAR, SIM, nonideality=nonideality,
-                         executor=executor, workers=workers, **kwargs)
-    try:
-        prepared = engine.prepare(weights)
-        return engine.matmul(x, prepared), prepared.uid
-    finally:
-        engine.close()
+    engine = make_engine(kind, XBAR, SIM, nonideality=nonideality, **kwargs)
+    prepared = engine.prepare(weights)
+    return engine.matmul(x, prepared), prepared.uid
 
 
 class TestPerturbationSemantics:
@@ -103,24 +98,20 @@ class TestPerturbationSemantics:
                     nonideality=NonidealitySpec(seed=1))
 
 
-class TestExecutorDeterminism:
-    """Perturbed tiles travel inside the layer program, so every backend
-    and worker count must reproduce the inline result bit-for-bit."""
+class TestKernelDeterminism:
+    """Perturbed tiles travel inside the layer program, so the fused and
+    interpreted kernels must agree bit-for-bit."""
 
     @pytest.mark.parametrize("kind", ["exact", "analytical"])
-    def test_all_backends_and_worker_counts_bit_identical(self, kind,
-                                                          operands):
-        reference, _ = run(kind, operands, nonideality=FAULTS)
-        for executor, workers in [("serial", None), ("threads", 2),
-                                  ("threads", 3), ("process", 2)]:
-            y, _ = run(kind, operands, nonideality=FAULTS,
-                       executor=executor, workers=workers)
-            np.testing.assert_array_equal(
-                y, reference, err_msg=f"{kind}/{executor}/{workers}")
+    def test_fused_and_interpreted_bit_identical(self, kind, operands):
+        reference, _ = run(kind, operands, nonideality=FAULTS,
+                           backend="interp")
+        y, _ = run(kind, operands, nonideality=FAULTS)
+        np.testing.assert_array_equal(y, reference, err_msg=kind)
 
     def test_converted_network_with_faults_matches_across_backends(self):
         import repro.nn as nn
-        from repro.funcsim.convert import close_mvm_executor, convert_to_mvm
+        from repro.funcsim.convert import convert_to_mvm
         from repro.nn.tensor import Tensor, no_grad
 
         model = nn.Sequential(nn.Linear(12, 10, seed=0), nn.ReLU(),
@@ -128,20 +119,15 @@ class TestExecutorDeterminism:
         x = Tensor(np.random.default_rng(2).normal(
             size=(4, 12)).astype(np.float32) * 0.3)
 
-        def infer(executor=None, workers=None):
+        def infer(backend=None):
             engine = make_engine("analytical", XBAR, SIM,
-                                 nonideality=FAULTS)
-            converted = convert_to_mvm(model, engine, executor=executor,
-                                       workers=workers)
+                                 nonideality=FAULTS, backend=backend)
+            converted = convert_to_mvm(model, engine)
             with no_grad():
-                out = converted(x).data
-            close_mvm_executor(converted)
-            engine.close()
-            return out
+                return converted(x).data
 
         inline = infer()
-        np.testing.assert_array_equal(inline, infer("serial"))
-        np.testing.assert_array_equal(inline, infer("process", workers=2))
+        np.testing.assert_array_equal(inline, infer("interp"))
         # And the faults actually bite at the network level too.
         clean_engine = make_engine("analytical", XBAR, SIM)
         clean = convert_to_mvm(model, clean_engine)

@@ -1,11 +1,10 @@
-"""Unit tests for tracing spans, trace buffers and span timings."""
+"""Unit tests for tracing spans and trace buffers."""
 
 import numpy as np
 
 from repro.funcsim.config import FuncSimConfig
 from repro.funcsim.engine import make_engine
 from repro.obs import (
-    SpanTimings,
     Trace,
     TraceBuffer,
     activate,
@@ -87,38 +86,17 @@ class TestTrace:
         assert len(buffer) == 2
 
 
-class TestSpanTimings:
-    def test_add_and_snapshot(self):
-        t = SpanTimings()
-        assert not t
-        t.add("shard", 0.5)
-        t.add("shard", 0.25)
-        assert t
-        assert t.snapshot() == {"shard": {"count": 2, "total_s": 0.75}}
-
-    def test_merge_accepts_instance_and_snapshot_dict(self):
-        a, b = SpanTimings(), SpanTimings()
-        a.add("shard", 1.0)
-        b.add("shard", 2.0)
-        b.add("merge", 0.5)
-        a.merge(b)
-        a.merge(b.snapshot())
-        snap = a.snapshot()
-        assert snap["shard"] == {"count": 3, "total_s": 5.0}
-        assert snap["merge"] == {"count": 2, "total_s": 1.0}
-
-
 class TestDeterminism:
     def test_engine_output_byte_identical_with_tracing(self):
         """Spans observe wall time only — tracing must not perturb RNG
-        or numerics, for any executor path."""
+        or numerics, on either kernel."""
         rng = np.random.default_rng(0)
         w = rng.standard_normal((12, 8)) * 0.4
         x = rng.standard_normal((5, 12))
-        for executor in (None, "serial"):
+        for backend in (None, "interp"):
             engine = make_engine("analytical", CrossbarConfig(rows=8, cols=8),
                                  FuncSimConfig().with_precision(8),
-                                 executor=executor)
+                                 backend=backend)
             prepared = engine.prepare(w)
             untraced = engine.matmul(x, prepared)
             trace = Trace("req")
@@ -129,19 +107,3 @@ class TestDeterminism:
                 deactivate(token)
             assert untraced.tobytes() == traced.tobytes()
             assert any(s.name == "engine-compute" for s in trace.spans())
-            engine.close()
-
-    def test_executor_span_timings_accumulate(self):
-        rng = np.random.default_rng(1)
-        w = rng.standard_normal((12, 8)) * 0.4
-        x = rng.standard_normal((5, 12))
-        engine = make_engine("analytical", CrossbarConfig(rows=8, cols=8),
-                             FuncSimConfig().with_precision(8),
-                             executor="serial")
-        prepared = engine.prepare(w)
-        engine.matmul(x, prepared)  # untraced: timings accumulate anyway
-        snap = engine.executor.span_timings.snapshot()
-        assert snap["shard"]["count"] > 0
-        assert snap["tile-shards"]["count"] == 1
-        assert snap["shard"]["total_s"] <= snap["tile-shards"]["total_s"]
-        engine.close()

@@ -68,14 +68,10 @@ def local_logits(registry: ModelRegistry, zoo: GeniexZoo,
     sspec = registry.serving_spec(spec)
     emulator = resolve_emulator(sspec, zoo=zoo) \
         if sspec.engine == "geniex" else None
-    engine = build_engine(sspec, emulator=emulator)
-    try:
-        converted = convert_to_mvm(model, engine)
-        with no_grad():
-            return converted(Tensor(np.asarray(x, dtype=np.float64))) \
-                .data.astype(np.float64)
-    finally:
-        engine.close()
+    converted = convert_to_mvm(model, build_engine(sspec, emulator=emulator))
+    with no_grad():
+        return converted(Tensor(np.asarray(x, dtype=np.float64))) \
+            .data.astype(np.float64)
 
 
 class TestUploadAndCompile:

@@ -60,27 +60,6 @@ class TestServeCommand:
             (0, 32, 0.5, 128, 0, "/tmp/zoo")
 
 
-class TestWorkersFlags:
-    def test_fig_workers_parsed(self):
-        args = build_parser().parse_args(["fig", "fig7", "--workers", "4"])
-        assert args.workers == 4
-
-    def test_fig_workers_default_none(self):
-        args = build_parser().parse_args(["fig", "fig7"])
-        assert args.workers is None
-
-    def test_fig_workers_sets_env(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        import os
-        assert main(["fig", "table1", "--workers", "2"]) == 0
-        assert os.environ["REPRO_WORKERS"] == "2"
-        capsys.readouterr()
-
-    def test_serve_engine_workers_parsed(self):
-        args = build_parser().parse_args(["serve", "--engine-workers", "3"])
-        assert args.engine_workers == 3
-
-
 class TestSpecCommand:
     def test_spec_list(self, capsys):
         assert main(["spec", "--list"]) == 0

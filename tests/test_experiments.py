@@ -170,9 +170,3 @@ class TestSpecDrivenFig5:
         assert f"geniex-{linear_key}.npz" in cached
         assert f"geniex-{full_key}.npz" not in cached
 
-    def test_profile_to_spec_honours_repro_workers_env(self, monkeypatch):
-        from repro.experiments.common import QUICK
-
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert QUICK.to_spec("exact").runtime.workers == 3
-        assert QUICK.to_spec("exact", workers=1).runtime.workers == 1

@@ -3,7 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.utils.numerics import clamp, relative_error, safe_divide
+from repro.utils.numerics import (
+    batch_invariant_matmul,
+    clamp,
+    relative_error,
+    safe_divide,
+)
 
 
 class TestSafeDivide:
@@ -52,3 +57,19 @@ class TestRelativeError:
 
     def test_zero_reference_uses_eps(self):
         assert np.isfinite(relative_error(0.0, 1.0))
+
+
+class TestBatchInvariantMatmul:
+    def test_f_ordered_operand_rows_match_large_call(self):
+        # GeniexNet.forward_hidden hands over ``weight.T`` (F-ordered);
+        # the BLAS row-invariance probe only validates C-ordered operands,
+        # so the product must not reach BLAS in any other layout.
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=(16, 32)).astype(np.float32).T
+        assert not b.flags.c_contiguous
+        a = rng.normal(size=(960, 32)).astype(np.float32)
+        full = batch_invariant_matmul(a, b)
+        for start in range(0, 960, 4):
+            np.testing.assert_array_equal(
+                batch_invariant_matmul(a[start:start + 4], b),
+                full[start:start + 4])
